@@ -49,21 +49,32 @@ class Codec(ABC):
 
 
 class JsonCodec(Codec):
-    """UTF-8 JSON with a tagged wrapper so ``bytes`` round-trip."""
+    """UTF-8 JSON with a tagged wrapper so ``bytes`` round-trip.
+
+    The encoder and decoder are built once per instance: ``json.dumps``
+    and ``json.loads`` construct a fresh one on every call whenever a
+    non-default option (``default``, ``separators``, ``object_hook``) is
+    passed.  Both are stateless between calls, so sharing them across
+    threads is safe.
+    """
 
     name = "json"
 
+    def __init__(self) -> None:
+        self._encoder = json.JSONEncoder(
+            default=self._encode_special, separators=(",", ":")
+        )
+        self._decoder = json.JSONDecoder(object_hook=self._decode_special)
+
     def encode(self, value: Any) -> bytes:
         try:
-            return json.dumps(
-                value, default=self._encode_special, separators=(",", ":")
-            ).encode("utf-8")
+            return self._encoder.encode(value).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise CodecError(f"JSON encode failed: {exc}") from exc
 
     def decode(self, payload: bytes) -> Any:
         try:
-            return json.loads(payload.decode("utf-8"), object_hook=self._decode_special)
+            return self._decoder.decode(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CodecError(f"JSON decode failed: {exc}") from exc
 
@@ -75,7 +86,7 @@ class JsonCodec(Codec):
 
     @staticmethod
     def _decode_special(obj: dict) -> Any:
-        if len(obj) == 1 and _BYTES_TAG in obj:
+        if _BYTES_TAG in obj and len(obj) == 1:
             return base64.b64decode(obj[_BYTES_TAG])
         return obj
 

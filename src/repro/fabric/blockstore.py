@@ -1,10 +1,29 @@
-"""Ledger block storage: serialized blocks in append-only files.
+"""Ledger block storage: framed block records in append-only files.
 
-Every read deserializes the block payload through the configured codec and
-bumps the ``ledger.blocks_deserialized`` / ``ledger.block_bytes_read``
-counters -- the quantities the paper's entire analysis is expressed in.
+Each block is stored as one block-file record (``length``, ``crc32``,
+payload; see :mod:`repro.storage.blockfile`) whose payload is a *frame*
+that keeps every transaction separately decodable::
+
+    uvarint  tx_count
+    uvarint  header_len
+    uvarint  tx_len            (tx_count times)
+    bytes    codec(header)     header_len bytes
+    bytes    codec(tx_i)       tx_len bytes each, in block order
+
+A GHFK step reads the whole record -- so the record's CRC still covers
+every byte, including transactions it does not use -- and then decodes
+only the one transaction its history location names
+(:meth:`BlockStore.read_payloads` + :meth:`BlockStore.decode_transaction`),
+the way Fabric fetches one transaction by its offset in the block.
+:meth:`BlockStore.get_block` rebuilds a full :class:`Block` from the same
+frame for chain verification, index rebuilds and audits.
+
+Every block read bumps ``ledger.blocks_deserialized`` once and
+``ledger.block_bytes_read`` by the payload size -- the quantities the
+paper's entire analysis is expressed in.  A block touched by GHFK counts
+as one deserialized block however many of its transactions are decoded.
 By default there is **no cross-call block cache**: each GHFK call pays
-its own deserialization, matching the paper's cost model (Section V).
+its own block read, matching the paper's cost model (Section V).
 An LRU cache can be switched on (``cache_blocks > 0``, or by injecting a
 shared :class:`~repro.fabric.blockcache.BlockCache`) for the cache
 ablation and for the parallel query executor, whose concurrent GHFK
@@ -17,11 +36,16 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.common import metrics as metric_names
-from repro.common.codec import Codec, get_codec
-from repro.common.errors import BlockFileError, BlockNotFoundError
+from repro.common.codec import Codec, get_codec, read_uvarint, write_uvarint
+from repro.common.errors import (
+    BlockFileError,
+    BlockNotFoundError,
+    CodecError,
+    LedgerError,
+)
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.fabric.block import Block
 from repro.fabric.blockcache import BlockCache
@@ -33,6 +57,44 @@ from repro.storage.blockindex import BlockIndex
 #: Per-store namespace tokens, so several stores can share one
 #: process-wide :class:`BlockCache` without block-number collisions.
 _STORE_TOKENS = itertools.count()
+
+
+def _frame_bounds(payload: bytes) -> List[int]:
+    """Offsets of the frame's parts: part ``i`` (0 = header, ``1 + n`` =
+    transaction ``n``) is ``payload[bounds[i]:bounds[i + 1]]``.
+
+    Raises :class:`CodecError` for a truncated or inconsistent frame.
+    This runs once per GHFK entry, so the length table is parsed in one
+    pass over its bytes rather than one :func:`read_uvarint` call each.
+    """
+    count, table_start = read_uvarint(payload, 0)
+    if count >= len(payload):
+        raise CodecError(
+            f"block frame claims {count} transactions in {len(payload)} bytes"
+        )
+    bounds = [0] * (count + 2)
+    part = total = value = shift = 0
+    table_end = table_start
+    for byte in payload[table_start : table_start + 10 * (count + 1)]:
+        table_end += 1
+        if byte & 0x80:
+            value |= (byte & 0x7F) << shift
+            shift += 7
+            continue
+        total += value | (byte << shift)
+        part += 1
+        bounds[part] = total
+        if part == count + 1:
+            break
+        value = shift = 0
+    else:
+        raise CodecError("truncated block frame length table")
+    if table_end + total != len(payload):
+        raise CodecError(
+            f"inconsistent block frame: parts end at {table_end + total}, "
+            f"payload is {len(payload)} bytes"
+        )
+    return [bound + table_end for bound in bounds]
 
 
 class BlockStore:
@@ -194,8 +256,15 @@ class BlockStore:
             raise BlockNotFoundError(
                 f"expected block {self.height}, got {block.number}"
             )
-        payload = self._codec.encode(block.to_dict())
-        location = self._files.append(payload)
+        raw = block.to_dict()
+        parts = [self._codec.encode(raw["header"])]
+        parts.extend(self._codec.encode(tx) for tx in raw["transactions"])
+        frame = bytearray()
+        write_uvarint(len(parts) - 1, frame)
+        for part in parts:
+            write_uvarint(len(part), frame)
+        frame += b"".join(parts)
+        location = self._files.append(bytes(frame))
         crash_point(BLOCKSTORE_MID_ADD)
         self._index.append(location)
 
@@ -221,36 +290,40 @@ class BlockStore:
 
     def _read_block(self, block_number: int) -> Block:
         """The uncached path: locate, read and decode one block."""
-        if block_number < self._base_height:
-            raise BlockNotFoundError(
-                f"block {block_number} predates this store's snapshot base "
-                f"({self._base_height})"
-            )
-        location = self._index.lookup(block_number - self._base_height)
-        if location is None:
-            raise BlockNotFoundError(
-                f"block {block_number} beyond height {self.height}"
-            )
-        payload = self._files.read(location)
-        self._metrics.increment(metric_names.BLOCKS_DESERIALIZED)
-        self._metrics.increment(metric_names.BLOCK_BYTES_READ, len(payload))
-        return Block.from_dict(self._codec.decode(payload))
+        return self._decode_block(self.read_payloads([block_number])[0])
 
-    def get_blocks(self, block_numbers: Sequence[int]) -> List[Block]:
-        """Read several blocks in one batch (the GHFK hot-loop path).
+    def _decode_block(self, payload: bytes) -> Block:
+        """Rebuild a full :class:`Block` from its frame."""
+        bounds = _frame_bounds(payload)
+        decode = self._codec.decode
+        return Block.from_dict(
+            {
+                "header": decode(payload[bounds[0] : bounds[1]]),
+                "transactions": [
+                    decode(payload[bounds[part] : bounds[part + 1]])
+                    for part in range(1, len(bounds) - 1)
+                ],
+            }
+        )
 
-        The uncached path collects every location first and hands them to
-        :meth:`BlockFileManager.read_many`, which coalesces same-file
-        reads into one open handle -- N history fetches against one block
-        file cost one open instead of N.  The deserialization counters
-        advance exactly as N :meth:`get_block` calls would (the batch
-        changes IO shape, never the paper's cost metric), plus one
-        ``ledger.block_batch_reads`` tick per multi-block batch.  With a
-        cache configured the batch simply loops ``get_block`` so hit
-        accounting and single-flight behaviour stay identical.
+    @property
+    def cached(self) -> bool:
+        """Whether decoded blocks are served from a :class:`BlockCache`."""
+        return self._cache is not None
+
+    def read_payloads(self, block_numbers: Sequence[int]) -> List[bytes]:
+        """Read the framed payload of each block, in input order.
+
+        Every record is read whole and CRC-verified by the block-file
+        layer.  Several blocks go to :meth:`BlockFileManager.read_many`,
+        which coalesces same-file reads into one open handle -- N history
+        fetches against one block file cost one open instead of N -- and
+        count one ``ledger.block_batch_reads``.  Each block counts one
+        ``ledger.blocks_deserialized`` and its payload size in
+        ``ledger.block_bytes_read``, however much of it is decoded later:
+        the batch changes IO shape, never the paper's cost metric.  The
+        block cache is bypassed.
         """
-        if self._cache is not None or len(block_numbers) <= 1:
-            return [self.get_block(number) for number in block_numbers]
         locations = []
         for number in block_numbers:
             if number < self._base_height:
@@ -264,14 +337,44 @@ class BlockStore:
                     f"block {number} beyond height {self.height}"
                 )
             locations.append(location)
-        payloads = self._files.read_many(locations)
-        self._metrics.increment(metric_names.BLOCK_BATCH_READS)
-        blocks: List[Block] = []
+        if len(locations) > 1:
+            payloads = self._files.read_many(locations)
+            self._metrics.increment(metric_names.BLOCK_BATCH_READS)
+        else:
+            payloads = [self._files.read(location) for location in locations]
         for payload in payloads:
             self._metrics.increment(metric_names.BLOCKS_DESERIALIZED)
             self._metrics.increment(metric_names.BLOCK_BYTES_READ, len(payload))
-            blocks.append(Block.from_dict(self._codec.decode(payload)))
-        return blocks
+        return payloads
+
+    def decode_transaction(self, payload: bytes, tx_num: int) -> Dict[str, Any]:
+        """Decode transaction ``tx_num`` of a payload from
+        :meth:`read_payloads`, leaving the block's other transactions
+        undecoded.  Returns the :meth:`Transaction.to_dict` form.
+
+        Raises :class:`CodecError` for a malformed frame and
+        :class:`LedgerError` when the block has no transaction ``tx_num``.
+        """
+        bounds = _frame_bounds(payload)
+        if not 0 <= tx_num < len(bounds) - 2:
+            raise LedgerError(
+                f"transaction {tx_num} out of range: the block holds "
+                f"{len(bounds) - 2}"
+            )
+        return self._codec.decode(payload[bounds[tx_num + 1] : bounds[tx_num + 2]])
+
+    def get_blocks(self, block_numbers: Sequence[int]) -> List[Block]:
+        """Read several blocks in one batch.
+
+        The uncached path reads every payload through
+        :meth:`read_payloads` (one coalesced batch, counted exactly as N
+        :meth:`get_block` calls plus one ``ledger.block_batch_reads``).
+        With a cache configured the batch simply loops ``get_block`` so
+        hit accounting and single-flight behaviour stay identical.
+        """
+        if self._cache is not None or len(block_numbers) <= 1:
+            return [self.get_block(number) for number in block_numbers]
+        return [self._decode_block(p) for p in self.read_payloads(block_numbers)]
 
     def iter_blocks(self, start: int = 0, end: Optional[int] = None) -> Iterator[Block]:
         """Yield blocks ``start .. end`` (``end`` exclusive, default height).

@@ -4,21 +4,24 @@
 Fabric's peer maintains, per key, the set of block locations containing a
 transaction that wrote that key (Section II).  The index itself is cheap
 metadata; the *values* stay inside the serialized blocks, so reading a
-key's history means deserializing those blocks one by one.  The iterator
-is lazy, oldest-first: callers that stop early (e.g. past a temporal
-query's end timestamp) never pay for the remaining blocks.
+key's history means reading those blocks one by one.  Each step decodes
+only the transaction its location names, out of the block's framed
+record (see :mod:`repro.fabric.blockstore`).  The iterator is lazy,
+oldest-first: callers that stop early (e.g. past a temporal query's end
+timestamp) never pay for the remaining blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.common import metrics as metric_names
+from repro.common.errors import LedgerError
 from repro.common.locks import make_rlock
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.sanitizer.shared import sanitize_shared
-from repro.fabric.block import Block, VALID
+from repro.fabric.block import Block, KVWrite, VALID
 from repro.fabric.blockstore import BlockStore
 
 
@@ -109,9 +112,12 @@ class HistoryDB:
     ) -> Iterator[HistoryEntry]:
         """Fabric's GHFK: lazily yield all past states of ``key``, oldest first.
 
-        Each new block touched is deserialized through ``block_store`` (and
-        counted); consecutive writes living in the same block reuse the
-        iterator's single-block cache.  Abandoning the iterator early skips
+        Each new block touched is read through ``block_store`` (and
+        counted as one deserialized block); each entry decodes only its
+        own transaction out of that block's payload.  Consecutive writes
+        living in the same block reuse the iterator's single-block cache.
+        With a block cache configured on the store, the iterator reads
+        cached decoded blocks instead.  Abandoning the iterator early skips
         the remaining blocks entirely -- the behaviour the paper's Model M1
         relies on to read an index bundle with exactly one block access.
 
@@ -135,20 +141,29 @@ class HistoryDB:
             )
         return self._iterate_history(key, locations, block_store)
 
+    @staticmethod
+    def _fetch(
+        block_store: BlockStore, block_numbers: Sequence[int]
+    ) -> Sequence[Union[Block, bytes]]:
+        """One history source per block: a cached decoded block when the
+        store has a cache, else the block's raw framed payload."""
+        if block_store.cached:
+            return block_store.get_blocks(block_numbers)
+        return block_store.read_payloads(block_numbers)
+
     def _iterate_history(
         self,
         key: str,
         locations: List[Tuple[int, int]],
         block_store: BlockStore,
     ) -> Iterator[HistoryEntry]:
-        cached_block: Optional[Block] = None
+        source: Union[Block, bytes] = b""
         cached_num = -1
         for block_num, tx_num in locations:
             if block_num != cached_num:
-                cached_block = block_store.get_block(block_num)
+                (source,) = self._fetch(block_store, [block_num])
                 cached_num = block_num
-            assert cached_block is not None
-            yield self._entry(key, cached_block, block_num, tx_num)
+            yield self._entry(key, block_store, source, block_num, tx_num)
 
     def _iterate_history_batched(
         self,
@@ -163,30 +178,63 @@ class HistoryDB:
         for block_num, _ in locations:
             if not distinct or distinct[-1] != block_num:
                 distinct.append(block_num)
-        blocks: Dict[int, Block] = {}
+        sources: Dict[int, Union[Block, bytes]] = {}
         position = 0  # next index into ``distinct`` to fetch
         for block_num, tx_num in locations:
-            if block_num not in blocks:
+            if block_num not in sources:
                 batch = distinct[position : position + prefetch]
                 position += len(batch)
                 # Only the current batch is retained: memory stays
                 # bounded by ``prefetch`` blocks, like the single-block
                 # cache it generalizes.
-                blocks = dict(zip(batch, block_store.get_blocks(batch)))
-            yield self._entry(key, blocks[block_num], block_num, tx_num)
+                sources = dict(zip(batch, self._fetch(block_store, batch)))
+            yield self._entry(
+                key, block_store, sources[block_num], block_num, tx_num
+            )
 
     def _entry(
-        self, key: str, block: Block, block_num: int, tx_num: int
+        self,
+        key: str,
+        block_store: BlockStore,
+        source: Union[Block, bytes],
+        block_num: int,
+        tx_num: int,
     ) -> HistoryEntry:
-        tx = block.transactions[tx_num]
-        write = tx.rw_set.writes[key]
+        """Build ``key``'s entry from transaction ``tx_num`` of a block
+        fetched by :meth:`_fetch`; raises :class:`LedgerError` when that
+        transaction does not exist or does not write ``key``."""
+        write: Optional[KVWrite]
+        if isinstance(source, Block):
+            if not 0 <= tx_num < len(source.transactions):
+                raise LedgerError(
+                    f"history location ({block_num}, {tx_num}) is out of "
+                    f"range: the block holds {len(source.transactions)}"
+                )
+            tx = source.transactions[tx_num]
+            write = tx.rw_set.writes.get(key)
+            timestamp, tx_id = tx.timestamp, tx.tx_id
+        else:
+            raw = block_store.decode_transaction(source, tx_num)
+            write = next(
+                (
+                    KVWrite.from_dict(item)
+                    for item in raw["rw_set"]["writes"]
+                    if item["k"] == key
+                ),
+                None,
+            )
+            timestamp, tx_id = raw["timestamp"], raw["tx_id"]
+        if write is None:
+            raise LedgerError(
+                f"history location ({block_num}, {tx_num}) does not write {key!r}"
+            )
         self._metrics.increment(metric_names.GHFK_RESULTS)
         return HistoryEntry(
             key=key,
             value=write.value,
             is_delete=write.is_delete,
-            timestamp=tx.timestamp,
+            timestamp=timestamp,
             block_num=block_num,
             tx_num=tx_num,
-            tx_id=tx.tx_id,
+            tx_id=tx_id,
         )

@@ -77,6 +77,8 @@ class BlockFileManager:
         #: Sealed-file maps, built lazily per file (only files *below*
         #: the current one are mapped -- the append file still grows).
         self._maps: Dict[int, mmap.mmap] = {}
+        #: File number -> path, so a read does not format a new path.
+        self._paths: Dict[int, Path] = {}
         self._current_num = self._latest_file_num()
         self._writer = fs.open(self._file_path(self._current_num), "ab")
 
@@ -102,7 +104,11 @@ class BlockFileManager:
         return latest
 
     def _file_path(self, file_num: int) -> Path:
-        return self.path / f"{_FILE_PREFIX}{file_num:06d}"
+        file_path = self._paths.get(file_num)
+        if file_path is None:
+            file_path = self.path / f"{_FILE_PREFIX}{file_num:06d}"
+            self._paths[file_num] = file_path
+        return file_path
 
     def append(self, payload: bytes) -> BlockLocation:
         """Append one serialized block; returns its location."""
@@ -229,14 +235,16 @@ class BlockFileManager:
         if mapped is not None:
             return self._read_mapped(mapped, location)
         file_path = self._file_path(location.file_num)
-        if not file_path.exists():
-            raise BlockFileError(f"block file {file_path.name} does not exist")
         # The write handle buffers; make appended data visible to readers.
         self._flush_for_read(location.file_num)
         handle = None
         try:
             handle = self._fs.open(file_path, "rb")
             return self._read_with_handle(handle, file_path, location)
+        except FileNotFoundError as exc:
+            raise BlockFileError(
+                f"block file {file_path.name} does not exist"
+            ) from exc
         except OSError as exc:
             raise BlockFileError(
                 f"read failed at {file_path.name}:{location.offset}: {exc}"
@@ -270,8 +278,6 @@ class BlockFileManager:
                     )
                 continue
             file_path = self._file_path(file_num)
-            if not file_path.exists():
-                raise BlockFileError(f"block file {file_path.name} does not exist")
             self._flush_for_read(file_num)
             handle = None
             try:
@@ -280,6 +286,10 @@ class BlockFileManager:
                     results[position] = self._read_with_handle(
                         handle, file_path, locations[position]
                     )
+            except FileNotFoundError as exc:
+                raise BlockFileError(
+                    f"block file {file_path.name} does not exist"
+                ) from exc
             except OSError as exc:
                 raise BlockFileError(
                     f"read failed in {file_path.name}: {exc}"
